@@ -57,7 +57,7 @@ func main() {
 		progress   = flag.Bool("progress", false, "report each completed run on stderr")
 		topo       = flag.String("topo", "star", "topology: star (8-host testbed) or leafspine (128 hosts)")
 		shards     = flag.Int("shards", 0,
-			"worker goroutines for the sharded conservative-time engine (0 = legacy serial\nengine; results are identical at any positive value — see DESIGN.md)")
+			"worker goroutines for the sharded conservative-time engine (0 = serial\nengine; results are identical at any positive value — see DESIGN.md)")
 		rttMinUS   = flag.Float64("rtt-min", 70, "minimum base RTT in microseconds")
 		variation  = flag.Float64("rtt-variation", 3, "RTT variation factor (RTTmax/RTTmin)")
 		replayPath = flag.String("replay", "", "replay flows from this flow CSV instead of generating them")
@@ -274,7 +274,7 @@ func main() {
 				p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
 		}
 	}
-	r := experiments.RunSeeds(sc, cfg)
+	r := experiments.RunAll(sc, []experiments.RunConfig{cfg})[0]
 	for _, flush := range traceFlush {
 		if err := flush(); err != nil {
 			fmt.Fprintln(os.Stderr, "ecnsim: trace:", err)

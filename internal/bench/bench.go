@@ -92,8 +92,7 @@ func EgressFIFO(b *testing.B) {
 func BulkTransfer(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		net := topology.Star(eng, 3, topology.Options{
+		net := topology.NewStar(3, topology.Options{
 			Link: topology.LinkParams{
 				RateBps:     topology.TenGbps,
 				PropDelay:   2 * sim.Microsecond,
@@ -101,6 +100,7 @@ func BulkTransfer(b *testing.B) {
 			},
 			NewAQM: func(int) aqm.AQM { return aqm.NewREDInstantBytes(100 * 1500) },
 		})
+		eng := net.Engine
 		cfg := transport.DefaultConfig()
 		fl1 := transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 10_000_000, 0, nil)
 		fl2 := transport.StartFlow(eng, cfg, net.Host(1), net.Host(2), 2, 10_000_000, 0, nil)
@@ -163,8 +163,7 @@ func FlapStorm(b *testing.B) {
 func IncastBurst(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		net := topology.Star(eng, 17, topology.Options{
+		net := topology.NewStar(17, topology.Options{
 			Link: topology.LinkParams{
 				RateBps:     topology.TenGbps,
 				PropDelay:   sim.Microsecond,
@@ -172,6 +171,7 @@ func IncastBurst(b *testing.B) {
 			},
 			NewAQM: func(int) aqm.AQM { return aqm.NewREDInstantBytes(180 * 1500) },
 		})
+		eng := net.Engine
 		cfg := transport.DefaultConfig()
 		cfg.InitCwndSegments = 2
 		done := 0

@@ -297,8 +297,8 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestAverageSeedsAggregates checks the multi-seed averaging plumbing.
-func TestAverageSeedsAggregates(t *testing.T) {
+// TestRunAllPoolsSeeds checks the multi-seed pooling plumbing.
+func TestRunAllPoolsSeeds(t *testing.T) {
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	cfg := RunConfig{
 		Topo:    TopoStar,
@@ -307,7 +307,7 @@ func TestAverageSeedsAggregates(t *testing.T) {
 		RTT:     &rtt,
 		FlowGen: testbedFlowGen(workload.WebSearchCDF, 0.4, 80),
 	}
-	r := AverageSeeds(cfg, []int64{1, 2})
+	r := RunAll(Scale{Seeds: []int64{1, 2}}, []RunConfig{cfg})[0]
 	if r.Injected != 160 {
 		t.Errorf("Injected = %d, want 160", r.Injected)
 	}
@@ -628,8 +628,8 @@ func TestParallelDeterminism(t *testing.T) {
 	serial.Parallel = 1
 	wide := sc
 	wide.Parallel = 8
-	a := RunSeeds(serial, cfg)
-	b := RunSeeds(wide, cfg)
+	a := RunAll(serial, []RunConfig{cfg})[0]
+	b := RunAll(wide, []RunConfig{cfg})[0]
 
 	if a.Stats != b.Stats {
 		t.Errorf("stats differ across parallelism:\n%+v\n%+v", a.Stats, b.Stats)

@@ -50,7 +50,7 @@ func starCfg(scheme Scheme, wl *dist.EmpiricalCDF, load float64,
 // starRun executes one testbed configuration pooled over seeds.
 func starRun(scheme Scheme, wl *dist.EmpiricalCDF, load float64,
 	rtt rttvar.RTTDistribution, sc Scale) RunResult {
-	return RunSeeds(sc, starCfg(scheme, wl, load, rtt, sc))
+	return RunAll(sc, []RunConfig{starCfg(scheme, wl, load, rtt, sc)})[0]
 }
 
 // Fig2 reproduces Figure 2: with a 3× RTT variation (70–210 µs) and the

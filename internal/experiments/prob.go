@@ -125,9 +125,8 @@ func probIncast(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM, sc S
 // probFairness runs four synchronized long flows and reports Jain's index
 // of their goodput plus the aggregate.
 func probFairness(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM) (jain, sumGbps float64, err error) {
-	eng := sim.NewEngine()
 	rng := rand.New(rand.NewSource(17))
-	net := topology.Star(eng, 5, topology.Options{
+	net := topology.NewStar(5, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     topology.TenGbps,
 			PropDelay:   DefaultPropDelay,
@@ -135,6 +134,7 @@ func probFairness(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM) (j
 		},
 		NewAQM: mk(rng),
 	})
+	eng := net.Engine
 	rtt := LeafSpineRTT()
 	assigner := rttvar.NewAssigner(rtt, 10*sim.Microsecond, rng)
 
@@ -150,7 +150,7 @@ func probFairness(ctx context.Context, mk func(*rand.Rand) func(int) aqm.AQM) (j
 		meters[i] = metrics.NewGoodputMeter(eng, func() int64 { return recv.BytesInOrder },
 			horizon/2, horizon, 5*sim.Millisecond)
 	}
-	if err := runEngine(ctx, eng, horizon); err != nil {
+	if err := runNet(ctx, net, horizon); err != nil {
 		return 0, 0, err
 	}
 

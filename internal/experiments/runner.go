@@ -223,8 +223,8 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 		opts.NewSched = func() queue.Scheduler { return queue.NewDWRR(weights) }
 	}
 
-	// Construction goes through the topology-owned constructors — the
-	// single entry point for engine and shard wiring.
+	// The topology constructors build the engine (serial or sharded)
+	// along with the network.
 	var net *topology.Net
 	switch cfg.Topo {
 	case TopoStar:
@@ -350,29 +350,23 @@ func RunContext(ctx context.Context, cfg RunConfig) (RunResult, error) {
 }
 
 // runNet drives the network's engine — serial or sharded — to completion
-// (or to the simulated deadline, when positive), honoring ctx.
+// (or to the simulated deadline, when positive), honoring ctx. Runs under
+// an uncancelable context take the unpolled fast path.
 func runNet(ctx context.Context, net *topology.Net, deadline sim.Time) error {
-	if net.Shard == nil {
-		return runEngine(ctx, net.Engine, deadline)
-	}
 	limit := deadline
 	if limit <= 0 {
 		limit = sim.MaxTime
 	}
-	if ctx.Done() == nil {
-		return net.Shard.RunPoll(limit, 0, nil)
+	if net.Shard != nil {
+		if ctx.Done() == nil {
+			return net.Shard.RunPoll(limit, 0, nil)
+		}
+		// Poll cancellation every few windows: a window is bounded work
+		// (lookahead's worth of events per domain), so this keeps per-job
+		// timeouts responsive without touching the workers.
+		return net.Shard.RunPoll(limit, 4, ctx.Err)
 	}
-	// Poll cancellation every few windows: a window is bounded work
-	// (lookahead's worth of events per domain), so this keeps per-job
-	// timeouts responsive without touching the workers.
-	return net.Shard.RunPoll(limit, 4, ctx.Err)
-}
-
-// runEngine drives eng to completion (or to the simulated deadline, when
-// positive), polling ctx between event chunks so cancellation and per-job
-// timeouts can stop a run mid-flight. Runs under an uncancelable context
-// take the unchunked fast path.
-func runEngine(ctx context.Context, eng *sim.Engine, deadline sim.Time) error {
+	eng := net.Engine
 	if ctx.Done() == nil {
 		if deadline > 0 {
 			eng.RunUntil(deadline)
@@ -381,10 +375,8 @@ func runEngine(ctx context.Context, eng *sim.Engine, deadline sim.Time) error {
 		}
 		return nil
 	}
-	limit := deadline
-	if limit <= 0 {
-		limit = sim.MaxTime
-	}
+	// Poll cancellation between event chunks so per-job timeouts can stop
+	// a serial run mid-flight.
 	const chunk = 1 << 14
 	for eng.RunChunk(limit, chunk) {
 		if err := ctx.Err(); err != nil {
@@ -474,18 +466,4 @@ func RunAll(sc Scale, cfgs []RunConfig) []RunResult {
 		out[ci] = MergeRuns(group)
 	}
 	return out
-}
-
-// RunSeeds executes cfg once per configured seed and pools the results.
-func RunSeeds(sc Scale, cfg RunConfig) RunResult {
-	return RunAll(sc, []RunConfig{cfg})[0]
-}
-
-// AverageSeeds runs the config across seeds; the paper reports three-run
-// statistics (§5.1). Kept under its historical name for callers without a
-// Scale, it now pools samples across seeds via MergeRuns instead of
-// averaging per-seed percentiles (which biased the reported p99s) and
-// retains every seed's collector and queue samples.
-func AverageSeeds(cfg RunConfig, seeds []int64) RunResult {
-	return RunSeeds(Scale{Seeds: seeds}, cfg)
 }

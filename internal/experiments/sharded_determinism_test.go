@@ -6,7 +6,7 @@ package experiments
 // all counters — must be identical at any shard count. "Serial" here is
 // Shards=1 (one worker driving the partitioned engine); the test pins 2, 4
 // and 8 workers against it on a traced incast golden, and a second case
-// pins 1 vs 4 workers on an untraced fig6-style Poisson cell. (The legacy
+// pins 1 vs 4 workers on an untraced fig6-style Poisson cell. (The serial
 // Shards=0 engine is pinned separately by the existing goldens; its
 // same-timestamp tie-breaking uses a global sequence rather than the
 // partitioned path's domain-canonical barrier order, so byte equality is

@@ -23,7 +23,7 @@ import (
 // alters output bytes, a spec semantic change — and old cache entries stop
 // matching (they age out under the cache's size budget) instead of being
 // served wrong.
-const ResultSchemaVersion = "ecnsharp-result-v1"
+const ResultSchemaVersion = "ecnsharp-result-v2"
 
 // SweepSpec is the sweep description shared by `ecnsim -spec` and the
 // ecnsharpd daemon: one JSON document naming a (scheme, workload, topology)
@@ -53,8 +53,9 @@ type SweepSpec struct {
 	RTTVariation float64 `json:"rtt_variation,omitempty"`
 	// Shards selects the sharded conservative-time engine worker count
 	// for each run (0 = serial engine). Simulated output is byte-identical
-	// at any value, so this is a wall-clock knob and is excluded from
-	// cache keys.
+	// at any positive value, so the worker count is a wall-clock knob.
+	// Serial and sharded leaf-spine runs break same-timestamp ties
+	// differently, so the cache keys the two engines apart.
 	Shards int `json:"shards,omitempty"`
 	// Trace, when non-nil, captures a JSONL event trace per cell.
 	Trace *TraceSpec `json:"trace,omitempty"`
@@ -205,8 +206,8 @@ type Cell struct {
 	// RTTMinUS and RTTVariation are the base-RTT model parameters.
 	RTTMinUS     float64 `json:"rtt_min_us"`
 	RTTVariation float64 `json:"rtt_variation"`
-	// Shards is the engine worker count; excluded from the cache key
-	// because output is shard-invariant (see Key).
+	// Shards is the engine worker count; the cache key keeps only
+	// whether it is zero (see CanonicalJSON).
 	Shards int `json:"shards,omitempty"`
 	// TraceEvents/TraceSample mirror TraceSpec; empty TraceEvents means
 	// the cell is untraced.
@@ -248,13 +249,15 @@ func (s *SweepSpec) Cells() []Cell {
 }
 
 // CanonicalJSON returns the cell's canonical byte encoding: a single JSON
-// object with fields in declaration order and Shards normalized to zero
-// (the sharded engine is byte-identical to the serial one by construction
-// — pinned by TestShardedByteIdenticalToSerial — so the worker count must
-// not split the cache). Two cells describe the same computation iff their
-// canonical encodings are equal.
+// object with fields in declaration order and Shards normalized to 0
+// (serial engine) or 1 (sharded engine, any worker count). The sharded
+// engine is byte-identical at every worker count — pinned by
+// TestShardedByteIdenticalToSerial — so the count must not split the
+// cache; but on a leaf-spine fabric it orders same-timestamp events
+// differently from the serial engine, so the two engines must. Two cells
+// describe the same computation iff their canonical encodings are equal.
 func (c Cell) CanonicalJSON() []byte {
-	c.Shards = 0
+	c.Shards = min(c.Shards, 1)
 	b, err := json.Marshal(c)
 	if err != nil {
 		// Cell holds only value types with exact encodings; Marshal can

@@ -106,16 +106,21 @@ func TestCellKeyDerivation(t *testing.T) {
 		t.Error("version bump did not change the key")
 	}
 
-	// The shard count is a wall-clock knob: output is byte-identical at
-	// any value (TestShardedByteIdenticalToSerial), so it must NOT split
-	// the cache.
-	sharded := base
-	sharded.Shards = 4
-	if sharded.Key(ResultSchemaVersion) != base.Key(ResultSchemaVersion) {
-		t.Error("shards leaked into the cache key")
+	// The worker count is a wall-clock knob: the sharded engine is
+	// byte-identical at any count (TestShardedByteIdenticalToSerial), so
+	// 1 and 4 workers must share a key. The serial engine breaks
+	// same-timestamp ties differently on leaf-spine, so Shards 0 and 1
+	// must not.
+	one, four := base, base
+	one.Shards, four.Shards = 1, 4
+	if four.Key(ResultSchemaVersion) != one.Key(ResultSchemaVersion) {
+		t.Error("the worker count leaked into the cache key")
 	}
-	if !bytes.Equal(sharded.CanonicalJSON(), base.CanonicalJSON()) {
-		t.Error("shards leaked into the canonical encoding")
+	if !bytes.Equal(four.CanonicalJSON(), one.CanonicalJSON()) {
+		t.Error("the worker count leaked into the canonical encoding")
+	}
+	if one.Key(ResultSchemaVersion) == base.Key(ResultSchemaVersion) {
+		t.Error("serial and sharded cells share a cache key")
 	}
 }
 

@@ -194,7 +194,7 @@ func TestTeardownSendPanics(t *testing.T) {
 			t.Fatalf("panic message unclear: %v", r)
 		}
 	}()
-	p := net.PacketPool.Get()
+	p := net.PacketPools[0].Get()
 	p.Src, p.Dst, p.PayloadLen = 0, 1, 100
 	net.Links[0].Port.Send(p)
 }

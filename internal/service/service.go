@@ -610,7 +610,7 @@ func (s *Server) handleCellTrace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, errNotFinished, oc.err)
 		return
 	}
-	if oc.result.TraceJSONL == "" {
+	if sw.cells[idx].TraceEvents == "" {
 		writeErr(w, http.StatusNotFound, errNotFound,
 			"cell was run without tracing (set \"trace\" in the sweep spec)")
 		return

@@ -337,6 +337,28 @@ func TestUntracedCellHasNoTrace(t *testing.T) {
 	}
 }
 
+// TestTracedCellWithEmptyTrace: a cell traced for an event that never
+// fires on a spec cell (fault injection is off) has an empty trace, which
+// the endpoint serves as 200 with an empty body rather than mistaking it
+// for an untraced cell.
+func TestTracedCellWithEmptyTrace(t *testing.T) {
+	base := newTestServer(t, Config{Parallel: 2})
+	id := submit(t, base, `{"loads": [0.5], "flows": 20, "seeds": [7], "trace": {"events": "fault"}}`)
+	streamEvents(t, base, id)
+	resp, err := http.Get(base + "/v1/sweeps/" + id + "/cells/0/trace")
+	if err != nil {
+		t.Fatalf("GET trace: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read trace: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || len(body) != 0 {
+		t.Fatalf("status %d body %q, want 200 and an empty body", resp.StatusCode, body)
+	}
+}
+
 // TestStatusReportsPerCellCacheState checks the status endpoint after a
 // cached re-run: every cell done, cached flags set, spec echoed.
 func TestStatusReportsPerCellCacheState(t *testing.T) {

@@ -55,13 +55,6 @@ func serialPartition(hosts int, lookahead sim.Time) Partition {
 	return Partition{Domains: 1, HostDom: make([]int, hosts), Lookahead: lookahead}
 }
 
-// PartitionStar computes the decomposition of an n-host star: a single
-// domain (every link touches the one switch, so there is nothing to cut).
-func PartitionStar(n int, opts Options) Partition {
-	opts.defaults()
-	return serialPartition(n, opts.Link.PropDelay)
-}
-
 // PartitionDumbbell computes the decomposition of a dumbbell: two
 // domains, one per side, cut on the inter-switch bottleneck link in both
 // directions.

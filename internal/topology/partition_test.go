@@ -110,15 +110,14 @@ func TestPartitionDumbbell(t *testing.T) {
 	}
 }
 
-// TestPartitionStarSingleDomain: a star cannot be cut; sharded
-// construction still works (one domain, whatever the worker request).
-func TestPartitionStarSingleDomain(t *testing.T) {
+// TestStarSingleDomain: a star cannot be cut; sharded construction still
+// works (one domain, whatever the worker request).
+func TestStarSingleDomain(t *testing.T) {
 	opts := Options{Link: LinkParams{RateBps: TenGbps, PropDelay: sim.Microsecond}, Shards: 4}
-	part := PartitionStar(8, opts)
-	if part.Domains != 1 || part.CutLinks != 0 {
-		t.Fatalf("unexpected star partition %+v", part)
-	}
 	net := NewStar(8, opts)
+	if net.Part.Domains != 1 || net.Part.CutLinks != 0 {
+		t.Fatalf("unexpected star partition %+v", net.Part)
+	}
 	if net.Domains() != 1 || len(net.Boundaries) != 0 {
 		t.Fatalf("star built %d domains, %d boundaries", net.Domains(), len(net.Boundaries))
 	}

@@ -30,8 +30,7 @@ func (s *streamTracer) Trace(e trace.Event) {
 // returns the full rendered event stream plus completion times.
 func runTracedIncast(t *testing.T, noPool bool) (string, *topology.Net) {
 	t.Helper()
-	eng := sim.NewEngine()
-	net := topology.Star(eng, 17, topology.Options{
+	net := topology.NewStar(17, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:   topology.TenGbps,
 			PropDelay: sim.Microsecond,
@@ -43,6 +42,7 @@ func runTracedIncast(t *testing.T, noPool bool) (string, *topology.Net) {
 		},
 		NoPacketPool: noPool,
 	})
+	eng := net.Engine
 	tr := &streamTracer{}
 	net.AttachTracer(tr)
 
@@ -79,16 +79,16 @@ func TestPacketPoolHygieneByteIdentical(t *testing.T) {
 		d := firstDiffLine(pooled, plain)
 		t.Fatalf("pooling changed the simulation; first divergence:\n pooled: %s\n  plain: %s", d[0], d[1])
 	}
-	if net.PacketPool == nil {
+	if net.PacketPools[0] == nil {
 		t.Fatal("default options did not build a packet pool")
 	}
-	if plainNet.PacketPool != nil {
+	if plainNet.PacketPools[0] != nil {
 		t.Fatal("NoPacketPool still built a pool")
 	}
 	// The pool must actually have recycled packets, or the test proves
 	// nothing: with tail drops and 32 flows the free list turns over many
 	// times, so fresh allocations must be a small fraction of handouts.
-	pl := net.PacketPool
+	pl := net.PacketPools[0]
 	if pl.Puts == 0 || pl.Gets == 0 {
 		t.Fatalf("pool unused: gets=%d puts=%d", pl.Gets, pl.Puts)
 	}

@@ -2,13 +2,12 @@
 // paper evaluates on: the star used for the 8-server testbed and incast
 // experiments, a dumbbell, and the 128-host leaf-spine fabric of §5.3.
 //
-// Construction comes in two modes sharing one wiring path. The legacy
-// constructors (Star, Dumbbell, LeafSpine) take a caller-owned serial
-// engine and build a single-domain network on it. The topology-owned
-// constructors (NewStar, NewDumbbell, NewLeafSpine) build the engine(s)
-// themselves; with Options.Shards > 0 they partition the network into
-// simulation domains on the leaf/pod boundary (see partition.go) and run
-// it on a sim.ShardedEngine, which is how fabrics scale to 100k hosts.
+// NewStar, NewDumbbell and NewLeafSpine build a network together with the
+// engine it runs on. With Options.Shards zero that is one serial
+// sim.Engine (Net.Engine). With Options.Shards > 0 the network is
+// partitioned into simulation domains on the leaf/pod boundary (see
+// partition.go) and runs on a sim.ShardedEngine (Net.Shard), which is how
+// fabrics scale to 100k hosts.
 package topology
 
 import (
@@ -91,8 +90,7 @@ type Options struct {
 	NoPacketPool bool
 	// Shards, when positive, partitions the network into its natural
 	// simulation domains and executes them on that many worker goroutines
-	// under a sim.ShardedEngine (only via the topology-owned NewStar /
-	// NewDumbbell / NewLeafSpine constructors). The domain decomposition
+	// under a sim.ShardedEngine. The domain decomposition
 	// — and therefore every simulated byte — depends only on the
 	// topology, never on this worker count. Zero keeps the serial
 	// single-engine path.
@@ -113,12 +111,12 @@ func (o *Options) defaults() {
 
 // Net is a constructed network.
 type Net struct {
-	// Engine is the serial engine in single-domain mode; nil when the
-	// network runs sharded (use Shard, or Engines / EngineOf for the
-	// per-domain engines).
+	// Engine is the network's serial engine when Options.Shards is zero;
+	// nil otherwise (use Shard, or Engines / EngineOf for the per-domain
+	// engines). Callers drive it and schedule their own events on it.
 	Engine *sim.Engine
-	// Shard is the conservative-time coordinator in sharded mode; nil on
-	// the serial path.
+	// Shard is the conservative-time coordinator when Options.Shards > 0;
+	// nil when the network runs serially.
 	Shard *sim.ShardedEngine
 	// Engines lists the per-domain engines; in serial mode it holds the
 	// single Engine. Component wiring and helpers index it by domain.
@@ -143,9 +141,6 @@ type Net struct {
 	// theirs (a packet crossing a boundary migrates pools, which a free
 	// list does not mind). Nil entries when Options.NoPacketPool was set.
 	PacketPools []*packet.Pool
-	// PacketPool is domain 0's pool — the whole network's pool in serial
-	// mode, kept for compatibility with existing callers and tests.
-	PacketPool *packet.Pool
 
 	// SwitchPorts lists every switch egress port (for drop/mark census).
 	SwitchPorts []*device.Port
@@ -196,8 +191,7 @@ type fabricInfo struct {
 	spines, leaves, hostsPerLeaf int
 	leafRouters                  []*leafRouter
 	spineRouters                 []*spineRouter
-	leafSw, spineSw              []int // indices into Net.Switches
-	sharded                      bool
+	leafSw, spineSw              []int           // indices into Net.Switches
 	health                       []*fabricHealth // per domain, after EnableFaults
 }
 
@@ -275,20 +269,8 @@ func (n *Net) EnableFaults() {
 	for d := range f.health {
 		f.health[d] = newFabricHealth(f.spines, f.leaves)
 	}
-	domOfLeaf := func(l int) int {
-		if f.sharded {
-			return leafDomain(l)
-		}
-		return 0
-	}
-	domOfSpine := func(s int) int {
-		if f.sharded {
-			return spineDomain(f.leaves, s)
-		}
-		return 0
-	}
 	for l, r := range f.leafRouters {
-		r.health = f.health[domOfLeaf(l)]
+		r.health = f.health[n.switchDoms[f.leafSw[l]]]
 		r.viaTo = make([][]*device.Port, f.leaves)
 		for m := range r.viaTo {
 			r.viaTo[m] = make([]*device.Port, 0, f.spines)
@@ -296,7 +278,7 @@ func (n *Net) EnableFaults() {
 		r.reroute()
 	}
 	for s, r := range f.spineRouters {
-		r.health = f.health[domOfSpine(s)]
+		r.health = f.health[n.switchDoms[f.spineSw[s]]]
 	}
 }
 
@@ -343,7 +325,7 @@ func (n *Net) ApplySwitchAlive(dom, sw int, alive bool) {
 // owns (spine routers consult health at route time and need no rebuild).
 func (n *Net) recomputeDomain(dom int) {
 	f := n.fabric
-	if !f.sharded {
+	if n.Domains() == 1 {
 		for _, r := range f.leafRouters {
 			r.reroute()
 		}
@@ -489,38 +471,28 @@ func newHostEgress(o *Options, pkts *packet.Pool) *queue.Egress {
 
 // wiring is the shared construction state of one network build: the
 // partition, the per-domain engines and packet pools, and the Net being
-// populated. The same wiring path serves both modes — the serial path is
-// simply a one-domain build on a caller-provided engine.
+// populated. The serial path is simply a one-domain build.
 type wiring struct {
 	opts *Options
 	net  *Net
 }
 
-// newWiring prepares a build over part. legacyEng, when non-nil, is the
-// caller-owned serial engine (part must then be single-domain); otherwise
-// the engines are topology-owned, under a sharded coordinator when
-// opts.Shards > 0.
-func newWiring(part Partition, opts *Options, legacyEng *sim.Engine) *wiring {
+// newWiring prepares a build over part: one serial engine, or a sharded
+// coordinator over part's domains when opts.Shards > 0.
+func newWiring(part Partition, opts *Options) *wiring {
 	net := &Net{
 		Part:      part,
 		Lookahead: part.Lookahead,
 		hostPorts: make(map[int]*device.Port),
 		linkIdx:   make(map[string]int),
 	}
-	switch {
-	case legacyEng != nil:
-		if part.Domains != 1 {
-			panic("topology: a caller-owned engine requires a single-domain partition")
-		}
-		net.Engine = legacyEng
-		net.Engines = []*sim.Engine{legacyEng}
-	case opts.Shards > 0:
+	if opts.Shards > 0 {
 		net.Shard = sim.NewShardedEngine(part.Domains, part.Lookahead, opts.Shards)
 		net.Engines = make([]*sim.Engine, part.Domains)
 		for d := range net.Engines {
 			net.Engines[d] = net.Shard.Domain(d)
 		}
-	default:
+	} else {
 		net.Engine = sim.NewEngine()
 		net.Engines = []*sim.Engine{net.Engine}
 	}
@@ -530,7 +502,6 @@ func newWiring(part Partition, opts *Options, legacyEng *sim.Engine) *wiring {
 			net.PacketPools[d] = &packet.Pool{}
 		}
 	}
-	net.PacketPool = net.PacketPools[0]
 	return &wiring{opts: opts, net: net}
 }
 
@@ -589,44 +560,29 @@ func (w *wiring) addSwitchPort(dom int, ports ...*device.Port) {
 	}
 }
 
-// Star builds n hosts attached to one switch on a caller-owned serial
-// engine. Any host can talk to any other; the testbed experiments use
-// hosts 0..n-2 as senders and n-1 as the receiver, making the switch
-// egress toward host n-1 the bottleneck.
-func Star(eng *sim.Engine, n int, opts Options) *Net {
-	opts.defaults()
-	if opts.Shards > 0 {
-		panic("topology: Star with Shards set — use NewStar, which owns the engines")
-	}
-	return buildStar(n, &opts, eng)
-}
-
-// NewStar is the topology-owned Star constructor: it builds the engine
-// (or, with Options.Shards > 0, the sharded coordinator) itself, so all
-// engine wiring has a single entry point.
+// NewStar builds n hosts attached to one switch. Any host can talk to any
+// other; the testbed experiments use hosts 0..n-2 as senders and n-1 as
+// the receiver, making the switch egress toward host n-1 the bottleneck.
+// A star has no cuttable link, so with Options.Shards > 0 it runs as a
+// single domain on a one-worker sharded engine.
 func NewStar(n int, opts Options) *Net {
 	opts.defaults()
-	return buildStar(n, &opts, nil)
-}
-
-func buildStar(n int, opts *Options, legacyEng *sim.Engine) *Net {
 	if n < 2 {
 		panic("topology: star needs at least two hosts")
 	}
-	// A star has no cuttable link: every path crosses the one switch.
-	w := newWiring(serialPartition(n, opts.Link.PropDelay), opts, legacyEng)
+	w := newWiring(serialPartition(n, opts.Link.PropDelay), &opts)
 	net := w.net
 	eng := w.engine(0)
 	sw := device.NewSwitch(eng, "sw0")
-	pool := newPool(opts)
+	pool := newPool(&opts)
 	pkts := w.pool(0)
 	net.Switches = []*device.Switch{sw}
 	net.switchDoms = []int{0}
 	for i := 0; i < n; i++ {
 		h := device.NewHost(eng, i)
 		h.Pool = pkts
-		h.NIC = device.NewPort(eng, newHostEgress(opts, pkts), opts.Link.RateBps, opts.Link.PropDelay, sw)
-		down := w.port(0, 0, newEgress(opts, PortLoc{TierEdge, 0, "sw0"}, pool, pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
+		h.NIC = device.NewPort(eng, newHostEgress(&opts, pkts), opts.Link.RateBps, opts.Link.PropDelay, sw)
+		down := w.port(0, 0, newEgress(&opts, PortLoc{TierEdge, 0, "sw0"}, pool, pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
 		sw.AddRoute(i, down)
 		net.hostPorts[i] = down
 		w.addSwitchPort(0, down)
@@ -637,47 +593,33 @@ func buildStar(n int, opts *Options, legacyEng *sim.Engine) *Net {
 	return net
 }
 
-// Dumbbell builds nPairs senders and nPairs receivers on two switches
-// joined by a single bottleneck link, on a caller-owned serial engine:
-// senders 0..nPairs-1 attach to the left switch, receivers
-// nPairs..2nPairs-1 to the right.
-func Dumbbell(eng *sim.Engine, nPairs int, opts Options) *Net {
-	opts.defaults()
-	if opts.Shards > 0 {
-		panic("topology: Dumbbell with Shards set — use NewDumbbell, which owns the engines")
-	}
-	return buildDumbbell(nPairs, &opts, eng)
-}
-
-// NewDumbbell is the topology-owned Dumbbell constructor; with
+// NewDumbbell builds nPairs senders and nPairs receivers on two switches
+// joined by a single bottleneck link: senders 0..nPairs-1 attach to the
+// left switch, receivers nPairs..2nPairs-1 to the right. With
 // Options.Shards > 0 the two sides become separate domains cut on the
 // bottleneck link.
 func NewDumbbell(nPairs int, opts Options) *Net {
 	opts.defaults()
-	return buildDumbbell(nPairs, &opts, nil)
-}
-
-func buildDumbbell(nPairs int, opts *Options, legacyEng *sim.Engine) *Net {
 	if nPairs < 1 {
 		panic("topology: dumbbell needs at least one pair")
 	}
 	part := serialPartition(2*nPairs, opts.Link.PropDelay)
-	if legacyEng == nil && opts.Shards > 0 {
-		part = PartitionDumbbell(nPairs, *opts)
+	if opts.Shards > 0 {
+		part = PartitionDumbbell(nPairs, opts)
 	}
-	w := newWiring(part, opts, legacyEng)
+	w := newWiring(part, &opts)
 	net := w.net
 	domOf := func(i int) int { return part.HostDom[i] }
 	left := device.NewSwitch(w.engine(domOf(0)), "left")
 	right := device.NewSwitch(w.engine(domOf(2*nPairs-1)), "right")
 	leftDom, rightDom := domOf(0), domOf(2*nPairs-1)
-	leftPool, rightPool := newPool(opts), newPool(opts)
+	leftPool, rightPool := newPool(&opts), newPool(&opts)
 	net.Switches = []*device.Switch{left, right}
 	net.switchDoms = []int{leftDom, rightDom}
 
 	// The inter-switch bottleneck carries AQM in both directions.
-	l2r := w.port(leftDom, rightDom, newEgress(opts, PortLoc{TierEdge, 0, "left"}, leftPool, w.pool(leftDom)), opts.Link.RateBps, opts.FabricPropDelay, right)
-	r2l := w.port(rightDom, leftDom, newEgress(opts, PortLoc{TierEdge, 1, "right"}, rightPool, w.pool(rightDom)), opts.Link.RateBps, opts.FabricPropDelay, left)
+	l2r := w.port(leftDom, rightDom, newEgress(&opts, PortLoc{TierEdge, 0, "left"}, leftPool, w.pool(leftDom)), opts.Link.RateBps, opts.FabricPropDelay, right)
+	r2l := w.port(rightDom, leftDom, newEgress(&opts, PortLoc{TierEdge, 1, "right"}, rightPool, w.pool(rightDom)), opts.Link.RateBps, opts.FabricPropDelay, left)
 	w.addSwitchPort(leftDom, l2r)
 	w.addSwitchPort(rightDom, r2l)
 	w.addLink("left-right", l2r, leftDom, 0, -1, -1)
@@ -695,8 +637,8 @@ func buildDumbbell(nPairs int, opts *Options, legacyEng *sim.Engine) *Net {
 			swName, swIdx = "right", 1
 		}
 		h.Pool = pkts
-		h.NIC = device.NewPort(eng, newHostEgress(opts, pkts), opts.Link.RateBps, opts.Link.PropDelay, sw)
-		down := w.port(swDom, dom, newEgress(opts, PortLoc{TierEdge, swIdx, swName}, pool, pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
+		h.NIC = device.NewPort(eng, newHostEgress(&opts, pkts), opts.Link.RateBps, opts.Link.PropDelay, sw)
+		down := w.port(swDom, dom, newEgress(&opts, PortLoc{TierEdge, swIdx, swName}, pool, pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
 		sw.AddRoute(i, down)
 		net.hostPorts[i] = down
 		w.addSwitchPort(swDom, down)
@@ -712,36 +654,23 @@ func buildDumbbell(nPairs int, opts *Options, legacyEng *sim.Engine) *Net {
 	return net
 }
 
-// LeafSpine builds the §5.3 fabric on a caller-owned serial engine:
-// spines×leaves switches with hostsPerLeaf hosts per leaf, ECMP across
-// all spines for inter-leaf traffic. Host ids are leaf-major: leaf l owns
-// hosts [l·hostsPerLeaf, (l+1)·hostsPerLeaf).
-func LeafSpine(eng *sim.Engine, spines, leaves, hostsPerLeaf int, opts Options) *Net {
-	opts.defaults()
-	if opts.Shards > 0 {
-		panic("topology: LeafSpine with Shards set — use NewLeafSpine, which owns the engines")
-	}
-	return buildLeafSpine(spines, leaves, hostsPerLeaf, &opts, eng)
-}
-
-// NewLeafSpine is the topology-owned LeafSpine constructor; with
-// Options.Shards > 0 the fabric partitions into one domain per leaf
-// (switch plus hosts) and one per spine, cut on every fabric link.
+// NewLeafSpine builds the §5.3 fabric: spines×leaves switches with
+// hostsPerLeaf hosts per leaf, ECMP across all spines for inter-leaf
+// traffic. Host ids are leaf-major: leaf l owns hosts
+// [l·hostsPerLeaf, (l+1)·hostsPerLeaf). With Options.Shards > 0 the
+// fabric partitions into one domain per leaf (switch plus hosts) and one
+// per spine, cut on every fabric link.
 func NewLeafSpine(spines, leaves, hostsPerLeaf int, opts Options) *Net {
 	opts.defaults()
-	return buildLeafSpine(spines, leaves, hostsPerLeaf, &opts, nil)
-}
-
-func buildLeafSpine(spines, leaves, hostsPerLeaf int, opts *Options, legacyEng *sim.Engine) *Net {
 	if spines < 1 || leaves < 1 || hostsPerLeaf < 1 {
 		panic("topology: leaf-spine dimensions must be positive")
 	}
 	part := serialPartition(leaves*hostsPerLeaf, opts.Link.PropDelay)
-	sharded := legacyEng == nil && opts.Shards > 0
+	sharded := opts.Shards > 0
 	if sharded {
-		part = PartitionLeafSpine(spines, leaves, hostsPerLeaf, *opts)
+		part = PartitionLeafSpine(spines, leaves, hostsPerLeaf, opts)
 	}
-	w := newWiring(part, opts, legacyEng)
+	w := newWiring(part, &opts)
 	net := w.net
 	// Domain of leaf l / spine s; everything collapses to 0 when serial.
 	ldom := func(l int) int {
@@ -766,11 +695,10 @@ func buildLeafSpine(spines, leaves, hostsPerLeaf int, opts *Options, legacyEng *
 		hostsPerLeaf: hostsPerLeaf,
 		leafSw:       make([]int, leaves),
 		spineSw:      make([]int, spines),
-		sharded:      sharded,
 	}
 	for s := range spineSw {
 		spineSw[s] = device.NewSwitch(w.engine(sdom(s)), fmt.Sprintf("spine%d", s))
-		spinePools[s] = newPool(opts)
+		spinePools[s] = newPool(&opts)
 		spineRoutes[s] = &spineRouter{hostsPerLeaf: hostsPerLeaf, self: s, down: make([]*device.Port, leaves)}
 		spineSw[s].SetRouter(spineRoutes[s])
 		fab.spineSw[s] = len(net.Switches)
@@ -782,7 +710,7 @@ func buildLeafSpine(spines, leaves, hostsPerLeaf int, opts *Options, legacyEng *
 	leafRoutes := make([]*leafRouter, leaves)
 	for l := range leafSw {
 		leafSw[l] = device.NewSwitch(w.engine(ldom(l)), fmt.Sprintf("leaf%d", l))
-		leafPools[l] = newPool(opts)
+		leafPools[l] = newPool(&opts)
 		leafRoutes[l] = &leafRouter{base: l * hostsPerLeaf, self: l, local: make([]*device.Port, hostsPerLeaf)}
 		leafSw[l].SetRouter(leafRoutes[l])
 		fab.leafSw[l] = len(net.Switches)
@@ -802,8 +730,8 @@ func buildLeafSpine(spines, leaves, hostsPerLeaf int, opts *Options, legacyEng *
 			id := l*hostsPerLeaf + k
 			h := device.NewHost(eng, id)
 			h.Pool = pkts
-			h.NIC = device.NewPort(eng, newHostEgress(opts, pkts), opts.Link.RateBps, opts.Link.PropDelay, leafSw[l])
-			down := w.port(dom, dom, newEgress(opts, PortLoc{TierLeaf, fab.leafSw[l], leafSw[l].Name()}, leafPools[l], pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
+			h.NIC = device.NewPort(eng, newHostEgress(&opts, pkts), opts.Link.RateBps, opts.Link.PropDelay, leafSw[l])
+			down := w.port(dom, dom, newEgress(&opts, PortLoc{TierLeaf, fab.leafSw[l], leafSw[l].Name()}, leafPools[l], pkts), opts.Link.RateBps, opts.Link.PropDelay, h)
 			leafRoutes[l].local[k] = down
 			net.hostPorts[id] = down
 			w.addSwitchPort(dom, down)
@@ -818,8 +746,8 @@ func buildLeafSpine(spines, leaves, hostsPerLeaf int, opts *Options, legacyEng *
 	// so the ECMP hash selects identical paths.
 	for l := 0; l < leaves; l++ {
 		for s := 0; s < spines; s++ {
-			up := w.port(ldom(l), sdom(s), newEgress(opts, PortLoc{TierLeaf, fab.leafSw[l], leafSw[l].Name()}, leafPools[l], w.pool(ldom(l))), opts.Link.RateBps, opts.FabricPropDelay, spineSw[s])
-			down := w.port(sdom(s), ldom(l), newEgress(opts, PortLoc{TierSpine, fab.spineSw[s], spineSw[s].Name()}, spinePools[s], w.pool(sdom(s))), opts.Link.RateBps, opts.FabricPropDelay, leafSw[l])
+			up := w.port(ldom(l), sdom(s), newEgress(&opts, PortLoc{TierLeaf, fab.leafSw[l], leafSw[l].Name()}, leafPools[l], w.pool(ldom(l))), opts.Link.RateBps, opts.FabricPropDelay, spineSw[s])
+			down := w.port(sdom(s), ldom(l), newEgress(&opts, PortLoc{TierSpine, fab.spineSw[s], spineSw[s].Name()}, spinePools[s], w.pool(sdom(s))), opts.Link.RateBps, opts.FabricPropDelay, leafSw[l])
 			w.addSwitchPort(ldom(l), up)
 			w.addSwitchPort(sdom(s), down)
 			w.addLink(fmt.Sprintf("leaf%d-spine%d", l, s), up, ldom(l), fab.leafSw[l], l, s)

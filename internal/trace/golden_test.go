@@ -26,9 +26,8 @@ var update = flag.Bool("update", false, "rewrite the golden trace file")
 // instantaneous marks from the query burst.
 func goldenIncast(t *testing.T) []byte {
 	t.Helper()
-	eng := sim.NewEngine()
 	const receiver = 4
-	net := topology.Star(eng, receiver+1, topology.Options{
+	net := topology.NewStar(receiver+1, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     topology.TenGbps,
 			PropDelay:   sim.Microsecond,
@@ -42,6 +41,7 @@ func goldenIncast(t *testing.T) []byte {
 			})
 		},
 	})
+	eng := net.Engine
 
 	var buf bytes.Buffer
 	w := trace.NewJSONLWriter(&buf)

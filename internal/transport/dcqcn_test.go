@@ -40,10 +40,10 @@ func TestDCQCNConfigValidate(t *testing.T) {
 }
 
 func TestDCQCNDeliversAllBytes(t *testing.T) {
-	eng := sim.NewEngine()
-	net := topology.Star(eng, 2, topology.Options{
+	net := topology.NewStar(2, topology.Options{
 		Link: topology.LinkParams{RateBps: topology.TenGbps, PropDelay: 2 * sim.Microsecond},
 	})
+	eng := net.Engine
 	const size = 2_000_000
 	var fct sim.Time
 	sender, recv := transport.StartDCQCNFlow(eng, transport.DefaultDCQCNConfig(),
@@ -60,10 +60,9 @@ func TestDCQCNDeliversAllBytes(t *testing.T) {
 }
 
 func TestDCQCNCutsOnMarksAndRecovers(t *testing.T) {
-	eng := sim.NewEngine()
 	// A tight probabilistic marker keeps CNPs flowing while two flows
 	// share the bottleneck.
-	net := topology.Star(eng, 3, topology.Options{
+	net := topology.NewStar(3, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     topology.TenGbps,
 			PropDelay:   2 * sim.Microsecond,
@@ -71,6 +70,7 @@ func TestDCQCNCutsOnMarksAndRecovers(t *testing.T) {
 		},
 		NewAQM: func(int) aqm.AQM { return aqm.NewREDInstantBytes(30 * 1500) },
 	})
+	eng := net.Engine
 	cfg := transport.DefaultDCQCNConfig()
 	s1, _ := transport.StartDCQCNFlow(eng, cfg, net.Host(0), net.Host(2), 1, 8_000_000, 0, nil)
 	s2, _ := transport.StartDCQCNFlow(eng, cfg, net.Host(1), net.Host(2), 2, 8_000_000, 0, nil)
@@ -139,9 +139,8 @@ func TestDCQCNSharesFairly(t *testing.T) {
 	// converge to roughly equal rates at high utilization — the §3.5
 	// pairing the dcqcn experiment studies. (Cut-off marking instead
 	// suppresses all senders every interval; see the dcqcn experiment.)
-	eng := sim.NewEngine()
 	rng := rand.New(rand.NewSource(5))
-	net := topology.Star(eng, 5, topology.Options{
+	net := topology.NewStar(5, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     topology.TenGbps,
 			PropDelay:   2 * sim.Microsecond,
@@ -151,6 +150,7 @@ func TestDCQCNSharesFairly(t *testing.T) {
 			return aqm.NewRED(5*1500, 200*1500, 0.25, rng)
 		},
 	})
+	eng := net.Engine
 	cfg := transport.DefaultDCQCNConfig()
 	var recvs []*transport.Receiver
 	for i := 0; i < 4; i++ {

@@ -15,8 +15,8 @@ func TestFlowTableSerialMatchesStartFlow(t *testing.T) {
 	cfg := transport.DefaultConfig()
 	const size = 500_000
 
-	engA := sim.NewEngine()
-	netA := newStar(engA, 2, 0, nil)
+	netA := newStar(2, 0, nil)
+	engA := netA.Engine
 	var legacy *transport.Flow
 	transport.StartFlow(engA, cfg, netA.Host(0), netA.Host(1), 1, size, 0,
 		func(fl *transport.Flow) { legacy = fl })
@@ -25,8 +25,8 @@ func TestFlowTableSerialMatchesStartFlow(t *testing.T) {
 		t.Fatal("legacy flow did not complete")
 	}
 
-	engB := sim.NewEngine()
-	netB := newStar(engB, 2, 0, nil)
+	netB := newStar(2, 0, nil)
+	engB := netB.Engine
 	table := transport.NewFlowTable(1)
 	table.CloseOnDone = true
 	var doneOrder []int
@@ -98,8 +98,7 @@ func TestFlowTableShardedEndpoints(t *testing.T) {
 // TestFlowTableRejectsSelfFlow: identical endpoints are a configuration
 // bug, refused loudly.
 func TestFlowTableRejectsSelfFlow(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, nil)
+	net := newStar(2, 0, nil)
 	table := transport.NewFlowTable(1)
 	defer func() {
 		if recover() == nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ecnsharp/internal/aqm"
-	"ecnsharp/internal/sim"
 	"ecnsharp/internal/trace"
 	"ecnsharp/internal/transport"
 )
@@ -22,11 +21,11 @@ func countByType(evs []trace.Event, flowID uint64) map[trace.Type]int {
 }
 
 func TestTraceFlowLifecycle(t *testing.T) {
-	eng := sim.NewEngine()
 	// A tiny marking threshold forces ECN activity so echo events appear.
-	net := newStar(eng, 3, 0, func(int) aqm.AQM {
+	net := newStar(3, 0, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(10 * 1500)
 	})
+	eng := net.Engine
 	rec := trace.NewRingRecorder(1 << 18)
 	net.AttachTracer(rec)
 	cfg := transport.DefaultConfig()
@@ -93,10 +92,10 @@ func TestTraceFlowLifecycle(t *testing.T) {
 }
 
 func TestTraceDCQCNRateEvents(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, func(int) aqm.AQM {
+	net := newStar(2, 0, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(10 * 1500)
 	})
+	eng := net.Engine
 	rec := trace.NewRingRecorder(1 << 16).
 		SetMask(trace.MaskOf(trace.FlowStart, trace.FlowFinish, trace.RateUpdate))
 	net.AttachTracer(rec)

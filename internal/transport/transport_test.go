@@ -13,8 +13,8 @@ import (
 
 // newStar builds an n-host 10G star with the given switch AQM factory and
 // per-port buffer.
-func newStar(eng *sim.Engine, n int, bufBytes int64, newAQM func(int) aqm.AQM) *topology.Net {
-	return topology.Star(eng, n, topology.Options{
+func newStar(n int, bufBytes int64, newAQM func(int) aqm.AQM) *topology.Net {
+	return topology.NewStar(n, topology.Options{
 		Link: topology.LinkParams{
 			RateBps:     topology.TenGbps,
 			PropDelay:   2 * sim.Microsecond,
@@ -25,8 +25,8 @@ func newStar(eng *sim.Engine, n int, bufBytes int64, newAQM func(int) aqm.AQM) *
 }
 
 func TestSingleFlowDeliversAllBytes(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, nil)
+	net := newStar(2, 0, nil)
+	eng := net.Engine
 	cfg := transport.DefaultConfig()
 
 	const size = 1_000_000
@@ -63,8 +63,8 @@ func TestSingleFlowDeliversAllBytes(t *testing.T) {
 }
 
 func TestTinyFlow(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, nil)
+	net := newStar(2, 0, nil)
+	eng := net.Engine
 	cfg := transport.DefaultConfig()
 	var fct sim.Time
 	transport.StartFlow(eng, cfg, net.Host(0), net.Host(1), 1, 1, 0,
@@ -76,11 +76,11 @@ func TestTinyFlow(t *testing.T) {
 }
 
 func TestManyParallelFlowsConserveBytes(t *testing.T) {
-	eng := sim.NewEngine()
 	const hosts = 8
-	net := newStar(eng, hosts, 300_000, func(int) aqm.AQM {
+	net := newStar(hosts, 300_000, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(65 * 1460)
 	})
+	eng := net.Engine
 	cfg := transport.DefaultConfig()
 
 	type result struct {
@@ -108,11 +108,11 @@ func TestManyParallelFlowsConserveBytes(t *testing.T) {
 }
 
 func TestECNMarkingCutsWindow(t *testing.T) {
-	eng := sim.NewEngine()
 	// A tiny marking threshold forces marks quickly.
-	net := newStar(eng, 3, 0, func(int) aqm.AQM {
+	net := newStar(3, 0, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(10 * 1500)
 	})
+	eng := net.Engine
 	cfg := transport.DefaultConfig()
 
 	f1 := transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 3_000_000, 0, nil)
@@ -133,10 +133,10 @@ func TestECNMarkingCutsWindow(t *testing.T) {
 }
 
 func TestLossRecoveryUnderTinyBuffer(t *testing.T) {
-	eng := sim.NewEngine()
 	// 8 packets of buffer and no marking: drops are guaranteed with
 	// concurrent senders; flows must still complete via retransmission.
-	net := newStar(eng, 5, 8*1500, nil)
+	net := newStar(5, 8*1500, nil)
+	eng := net.Engine
 	cfg := transport.DefaultConfig()
 
 	var flows []*transport.Flow
@@ -174,12 +174,11 @@ func TestECNTCPHalvesVsDCTCPGentler(t *testing.T) {
 	// thresholds differ per transport. We proxy via throughput of a fixed
 	// transfer under continuous marking.
 	run := func(newCC func() transport.ECNControl) sim.Time {
-		eng := sim.NewEngine()
 		// Two senders share the bottleneck so a queue actually builds, and
 		// a 20 µs propagation delay makes the BDP (~100 KB) much larger
 		// than the marking threshold, so halving the window starves the
 		// pipe while DCTCP's proportional cut does not.
-		net := topology.Star(eng, 3, topology.Options{
+		net := topology.NewStar(3, topology.Options{
 			Link: topology.LinkParams{
 				RateBps:     topology.TenGbps,
 				PropDelay:   20 * sim.Microsecond,
@@ -187,6 +186,7 @@ func TestECNTCPHalvesVsDCTCPGentler(t *testing.T) {
 			},
 			NewAQM: func(int) aqm.AQM { return aqm.NewREDInstantBytes(8 * 1460) },
 		})
+		eng := net.Engine
 		cfg := transport.DefaultConfig()
 		cfg.NewControl = newCC
 		var last sim.Time
@@ -208,10 +208,10 @@ func TestECNTCPHalvesVsDCTCPGentler(t *testing.T) {
 }
 
 func TestDelayedAcksStillComplete(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, func(int) aqm.AQM {
+	net := newStar(2, 0, func(int) aqm.AQM {
 		return aqm.NewREDInstantBytes(30 * 1460)
 	})
+	eng := net.Engine
 	cfg := transport.DefaultConfig()
 	cfg.DelayedAckCount = 2
 	var done bool
@@ -228,8 +228,8 @@ func TestDelayedAcksStillComplete(t *testing.T) {
 }
 
 func TestFlowStartsAtScheduledTime(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, nil)
+	net := newStar(2, 0, nil)
+	eng := net.Engine
 	cfg := transport.DefaultConfig()
 	start := 5 * sim.Millisecond
 	var completedAt sim.Time
@@ -284,8 +284,8 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestFlowPanicsOnSelfLoop(t *testing.T) {
-	eng := sim.NewEngine()
-	net := newStar(eng, 2, 0, nil)
+	net := newStar(2, 0, nil)
+	eng := net.Engine
 	defer func() {
 		if recover() == nil {
 			t.Error("self-loop flow did not panic")
@@ -306,18 +306,18 @@ func TestEffectiveLambda(t *testing.T) {
 // TestECNSharpEndToEnd drives a full simulation with the paper's AQM and
 // checks ECN♯ actually marks and the flow completes.
 func TestECNSharpEndToEnd(t *testing.T) {
-	eng := sim.NewEngine()
 	params := core.Params{
 		InsTarget:   200 * sim.Microsecond,
 		PstTarget:   20 * sim.Microsecond,
 		PstInterval: 100 * sim.Microsecond,
 	}
 	var sharp *aqm.ECNSharp
-	net := newStar(eng, 3, 0, func(int) aqm.AQM {
+	net := newStar(3, 0, func(int) aqm.AQM {
 		a := aqm.MustNewECNSharp(params)
 		sharp = a // last one constructed; receiver port is built last
 		return a
 	})
+	eng := net.Engine
 	cfg := transport.DefaultConfig()
 	f1 := transport.StartFlow(eng, cfg, net.Host(0), net.Host(2), 1, 4_000_000, 0, nil)
 	f2 := transport.StartFlow(eng, cfg, net.Host(1), net.Host(2), 2, 4_000_000, 0, nil)
