@@ -48,7 +48,10 @@ func main() {
 		log.Fatalf("ecnsharpd: %v", err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// ReadHeaderTimeout drops clients that never finish a request header.
+	// There is no ReadTimeout or WriteTimeout: either would cut off a long
+	// NDJSON progress stream.
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		log.Printf("ecnsharpd: listening on http://%s (cache %s)", *addr, dir)
 		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

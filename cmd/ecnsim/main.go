@@ -35,9 +35,6 @@ import (
 	"ecnsharp/internal/fault"
 	"ecnsharp/internal/harness"
 	"ecnsharp/internal/metrics"
-	"ecnsharp/internal/rttvar"
-	"ecnsharp/internal/sim"
-	"ecnsharp/internal/topology"
 	"ecnsharp/internal/trace"
 	"ecnsharp/internal/transport"
 	"ecnsharp/internal/tune"
@@ -90,83 +87,41 @@ func main() {
 		return
 	}
 
-	seeds := []int64{*seed}
+	// The flags build a one-load sweep spec, validated and defaulted like
+	// any other, so flag runs and -spec runs resolve through the same cell.
+	spec := experiments.SweepSpec{
+		Topo:         *topo,
+		Scheme:       *schemeName,
+		Workload:     *wlName,
+		Loads:        []float64{*load},
+		Flows:        *flows,
+		Seeds:        []int64{*seed},
+		RTTMinUS:     *rttMinUS,
+		RTTVariation: *variation,
+		Shards:       *shards,
+	}
 	if *seedsFlag != "" {
-		seeds = seeds[:0]
+		spec.Seeds = nil
 		for _, s := range strings.Split(*seedsFlag, ",") {
 			v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "ecnsim: bad -seeds entry %q\n", s)
 				os.Exit(2)
 			}
-			seeds = append(seeds, v)
+			spec.Seeds = append(spec.Seeds, v)
 		}
 	}
-
-	rtt := rttvar.NewVariation(sim.Micros(*rttMinUS), *variation)
-	tail, avg, sharp := experiments.DeriveSchemes(rtt, topology.TenGbps)
-	var scheme experiments.Scheme
-	switch *schemeName {
-	case "ecnsharp":
-		scheme = sharp
-	case "red-tail":
-		scheme = tail
-	case "red-avg":
-		scheme = avg
-	case "codel":
-		scheme = experiments.CoDelScheme(10*sim.Microsecond, rtt.Percentile(90))
-	case "tcn":
-		scheme = experiments.TCNScheme(rtt.Percentile(90))
-	default:
-		fmt.Fprintf(os.Stderr, "ecnsim: unknown scheme %q\n", *schemeName)
-		os.Exit(2)
+	if *traceFile != "" {
+		spec.Trace = &experiments.TraceSpec{Events: *traceEvents, Sample: *traceSample}
 	}
-
-	cdf, err := workload.ByName(*wlName)
-	if err != nil {
+	if err := spec.Normalize(); err != nil {
 		fmt.Fprintln(os.Stderr, "ecnsim:", err)
 		os.Exit(2)
 	}
-
-	cfg := experiments.RunConfig{
-		Seed:   *seed,
-		Scheme: scheme,
-		RTT:    &rtt,
-		Shards: *shards,
-	}
-	switch *topo {
-	case "star":
-		cfg.Topo = experiments.TopoStar
-		cfg.Hosts = 8
-		senders := []int{0, 1, 2, 3, 4, 5, 6}
-		cfg.FlowGen = func(rng *rand.Rand) []workload.FlowSpec {
-			return workload.PoissonFlows(rng, workload.PoissonConfig{
-				SizeDist:    cdf,
-				Load:        *load,
-				CapacityBps: topology.TenGbps,
-				Pairs:       workload.StarPairs(senders, 7),
-				FlowCount:   *flows,
-			})
-		}
-	case "leafspine":
-		cfg.Topo = experiments.TopoLeafSpine
-		cfg.Spines, cfg.Leaves, cfg.HostsPerLeaf = 8, 8, 16
-		hosts := make([]int, 128)
-		for i := range hosts {
-			hosts[i] = i
-		}
-		cfg.FlowGen = func(rng *rand.Rand) []workload.FlowSpec {
-			return workload.PoissonFlows(rng, workload.PoissonConfig{
-				SizeDist:    cdf,
-				Load:        *load,
-				CapacityBps: topology.TenGbps,
-				RefLinks:    len(hosts),
-				Pairs:       workload.RandomPairs(hosts),
-				FlowCount:   *flows,
-			})
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "ecnsim: unknown topology %q\n", *topo)
+	cell := spec.Cells()[0]
+	cfg, err := cell.RunConfig()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ecnsim:", err)
 		os.Exit(2)
 	}
 
@@ -185,7 +140,7 @@ func main() {
 		cfg.FlowGen = nil
 		cfg.Flows = specs
 	} else if *saveFlows != "" {
-		specs := cfg.FlowGen(rand.New(rand.NewSource(*seed ^ 0x5eed)))
+		specs := cfg.FlowGen(rand.New(rand.NewSource(cell.Seed ^ 0x5eed)))
 		f, err := os.Create(*saveFlows)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ecnsim:", err)
@@ -223,14 +178,14 @@ func main() {
 		tracePaths []string
 	)
 	if *traceFile != "" {
-		mask, err := trace.ParseMask(*traceEvents)
+		mask, err := trace.ParseMask(cell.TraceEvents)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ecnsim:", err)
 			os.Exit(2)
 		}
 		cfg.NewTracer = func(ctx context.Context, runSeed int64) trace.Tracer {
 			path := *traceFile
-			if len(seeds) > 1 {
+			if len(spec.Seeds) > 1 {
 				id, ok := harness.JobID(ctx)
 				if !ok {
 					id = int(runSeed)
@@ -263,11 +218,11 @@ func main() {
 			})
 			tracePaths = append(tracePaths, path)
 			traceMu.Unlock()
-			return trace.NewFilter(t, mask, *traceSample)
+			return trace.NewFilter(t, mask, cell.TraceSample)
 		}
 	}
 
-	sc := experiments.Scale{Seeds: seeds, Parallel: *parallel, Timeout: *timeout}
+	sc := experiments.Scale{Seeds: spec.Seeds, Parallel: *parallel, Timeout: *timeout}
 	if *progress {
 		sc.Progress = func(p harness.Progress) {
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s (%v)\n",
@@ -282,11 +237,11 @@ func main() {
 		}
 	}
 	s := r.Stats
-	fmt.Printf("scheme    %s\n", scheme.Label)
+	fmt.Printf("scheme    %s\n", cfg.Scheme.Label)
 	fmt.Printf("workload  %s @ %.0f%% load, %d flows, RTT %v-%v\n",
-		*wlName, *load*100, r.Injected, rtt.Min, rtt.Max)
-	if len(seeds) > 1 {
-		fmt.Printf("pooled    %d seeds %v\n", len(seeds), seeds)
+		cell.Workload, cell.Load*100, r.Injected, cfg.RTT.Min, cfg.RTT.Max)
+	if len(spec.Seeds) > 1 {
+		fmt.Printf("pooled    %d seeds %v\n", len(spec.Seeds), spec.Seeds)
 	}
 	if cfg.Faults != nil {
 		fmt.Printf("faults    %s\n", *faultsPath)

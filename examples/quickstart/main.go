@@ -9,21 +9,31 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
+	"os"
 
 	"ecnsharp/internal/experiments"
-	"ecnsharp/internal/rttvar"
-	"ecnsharp/internal/sim"
-	"ecnsharp/internal/topology"
-	"ecnsharp/internal/workload"
 )
 
 func main() {
-	// The operator workflow from the paper: measure the base-RTT
-	// distribution (here: 3× variation, 70–210 µs), then derive marking
-	// thresholds from its statistics via Equation 1/2.
-	rtt := rttvar.NewVariation(70*sim.Microsecond, 3)
-	tail, _, sharp := experiments.DeriveSchemes(rtt, topology.TenGbps)
+	// One spec cell per scheme: the same description ecnsim -spec and
+	// ecnsharpd accept. Resolving it follows the operator workflow from the
+	// paper: take the base-RTT distribution (here: 3× variation, 70–210 µs)
+	// and derive marking thresholds from its statistics via Equation 1/2.
+	cell := experiments.Cell{
+		Topo: "star", Workload: "websearch", Load: 0.6, Flows: 300, Seed: 42,
+		RTTMinUS: 70, RTTVariation: 3,
+	}
+	var cfgs []experiments.RunConfig
+	for _, name := range []string{"red-tail", "ecnsharp"} {
+		cell.Scheme = name
+		cfg, err := cell.RunConfig()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "quickstart:", err)
+			os.Exit(1)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	rtt, tail, sharp := cfgs[0].RTT, cfgs[0].Scheme, cfgs[1].Scheme
 
 	fmt.Printf("RTT distribution: min=%v mean=%v p90=%v max=%v\n",
 		rtt.Min, rtt.Mean(), rtt.Percentile(90), rtt.Max)
@@ -31,29 +41,11 @@ func main() {
 	fmt.Printf("derived ECN# params: ins_target=%v pst_target=%v pst_interval=%v\n\n",
 		sharp.Params.InsTarget, sharp.Params.PstTarget, sharp.Params.PstInterval)
 
-	senders := []int{0, 1, 2, 3, 4, 5, 6}
-	flowGen := func(rng *rand.Rand) []workload.FlowSpec {
-		return workload.PoissonFlows(rng, workload.PoissonConfig{
-			SizeDist:    workload.WebSearchCDF,
-			Load:        0.6,
-			CapacityBps: topology.TenGbps,
-			Pairs:       workload.StarPairs(senders, 7),
-			FlowCount:   300,
-		})
-	}
-
-	for _, scheme := range []experiments.Scheme{tail, sharp} {
-		r := experiments.Run(experiments.RunConfig{
-			Seed:    42,
-			Topo:    experiments.TopoStar,
-			Hosts:   8,
-			Scheme:  scheme,
-			RTT:     &rtt,
-			FlowGen: flowGen,
-		})
+	for _, cfg := range cfgs {
+		r := experiments.Run(cfg)
 		s := r.Stats
 		fmt.Printf("%-16s overall avg %8.1f us | short avg %7.1f us p99 %8.1f us | large avg %9.1f us\n",
-			scheme.Label, s.OverallAvg, s.ShortAvg, s.ShortP99, s.LargeAvg)
+			cfg.Scheme.Label, s.OverallAvg, s.ShortAvg, s.ShortP99, s.LargeAvg)
 	}
 	fmt.Println("\nECN# should show clearly lower short-flow FCT at similar large-flow FCT.")
 }

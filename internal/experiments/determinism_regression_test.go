@@ -14,10 +14,8 @@ import (
 	"testing"
 
 	"ecnsharp/internal/metrics"
-	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/trace"
-	"ecnsharp/internal/workload"
 )
 
 // renderSummary flattens everything a SummaryTracer exposes — port order,
@@ -42,13 +40,12 @@ func renderSummary(s *metrics.SummaryTracer) string {
 // occupancy plots. Guards the output path of internal/metrics/summary.go
 // against map-order leaks (Ports() must stay collect-then-sort).
 func TestSummaryRenderByteIdentical(t *testing.T) {
-	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	sc := SmokeScale()
 	sc.FlowCount = 60
 
 	render := func() string {
 		s := metrics.NewSummaryTracer(100 * sim.Microsecond)
-		cfg := starCfg(TestbedSchemes()[3], workload.WebSearchCDF, 0.5, rtt, sc)
+		cfg := testbedCell(0.5, sc.FlowCount).withScheme(TestbedSchemes()[3])
 		cfg.Seed = 1
 		cfg.NewTracer = func(context.Context, int64) trace.Tracer { return s }
 		Run(cfg)

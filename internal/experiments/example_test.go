@@ -2,42 +2,28 @@ package experiments_test
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ecnsharp/internal/experiments"
-	"ecnsharp/internal/rttvar"
-	"ecnsharp/internal/sim"
-	"ecnsharp/internal/topology"
-	"ecnsharp/internal/workload"
 )
 
-// Example runs one custom simulation through the experiment runner: the
-// building block every figure is assembled from.
+// Example runs one spec cell under two schemes: the Cell every figure is
+// built from, and the same description ecnsim -spec and ecnsharpd accept.
 func Example() {
-	rtt := rttvar.NewVariation(70*sim.Microsecond, 3)
-	tail, _, sharp := experiments.DeriveSchemes(rtt, topology.TenGbps)
-
-	run := func(s experiments.Scheme) experiments.RunResult {
-		return experiments.Run(experiments.RunConfig{
-			Seed:   7,
-			Topo:   experiments.TopoStar,
-			Hosts:  8,
-			Scheme: s,
-			RTT:    &rtt,
-			FlowGen: func(rng *rand.Rand) []workload.FlowSpec {
-				return workload.PoissonFlows(rng, workload.PoissonConfig{
-					SizeDist:    workload.WebSearchCDF,
-					Load:        0.6,
-					CapacityBps: topology.TenGbps,
-					Pairs:       workload.StarPairs([]int{0, 1, 2, 3, 4, 5, 6}, 7),
-					FlowCount:   150,
-				})
-			},
-		})
+	cell := experiments.Cell{
+		Topo: "star", Workload: "websearch", Load: 0.6, Flows: 150, Seed: 7,
+		RTTMinUS: 70, RTTVariation: 3,
+	}
+	run := func(scheme string) experiments.RunResult {
+		cell.Scheme = scheme
+		cfg, err := cell.RunConfig()
+		if err != nil {
+			panic(err)
+		}
+		return experiments.Run(cfg)
 	}
 
-	rTail := run(tail)
-	rSharp := run(sharp)
+	rTail := run("red-tail")
+	rSharp := run("ecnsharp")
 	fmt.Println("all flows completed:",
 		rTail.Completed == rTail.Injected && rSharp.Completed == rSharp.Injected)
 	fmt.Println("ECN# short-flow p99 below Tail:",

@@ -158,6 +158,17 @@ func TestFig5Shape(t *testing.T) {
 	}
 }
 
+// testbedCell is the §5.2 testbed cell: web search on the 8-host star
+// with a 3x RTT variation.
+func testbedCell(load float64, flows int) Cell {
+	return poissonCell("star", workload.WebSearch, load, flows, rttvar.NewVariation(TestbedRTTMin, 3))
+}
+
+// testbedRun runs scheme s on the testbed cell, pooled over sc's seeds.
+func testbedRun(s Scheme, load float64, sc Scale) RunResult {
+	return RunAll(sc, []RunConfig{testbedCell(load, sc.FlowCount).withScheme(s)})[0]
+}
+
 // TestECNSharpBeatsTailForShortFlows is the repository's core claim check
 // (Figure 6): at a moderate load with 3× RTT variation, ECN♯ must deliver
 // clearly lower short-flow FCT than DCTCP-RED-Tail while keeping
@@ -165,10 +176,9 @@ func TestFig5Shape(t *testing.T) {
 func TestECNSharpBeatsTailForShortFlows(t *testing.T) {
 	sc := SmokeScale()
 	sc.FlowCount = 250
-	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	schemes := TestbedSchemes()
-	tail := starRun(schemes[0], workload.WebSearchCDF, 0.6, rtt, sc)
-	sharp := starRun(schemes[3], workload.WebSearchCDF, 0.6, rtt, sc)
+	tail := testbedRun(schemes[0], 0.6, sc)
+	sharp := testbedRun(schemes[3], 0.6, sc)
 
 	if sharp.Stats.ShortAvg >= tail.Stats.ShortAvg {
 		t.Errorf("ECN# short avg %.1f not below Tail %.1f",
@@ -190,10 +200,9 @@ func TestECNSharpBeatsTailForShortFlows(t *testing.T) {
 func TestREDAvgHurtsLargeFlows(t *testing.T) {
 	sc := SmokeScale()
 	sc.FlowCount = 250
-	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	schemes := TestbedSchemes()
-	tail := starRun(schemes[0], workload.WebSearchCDF, 0.6, rtt, sc)
-	avg := starRun(schemes[1], workload.WebSearchCDF, 0.6, rtt, sc)
+	tail := testbedRun(schemes[0], 0.6, sc)
+	avg := testbedRun(schemes[1], 0.6, sc)
 	if avg.Stats.LargeAvg <= tail.Stats.LargeAvg {
 		t.Errorf("RED-AVG large avg %.1f not above Tail %.1f",
 			avg.Stats.LargeAvg, tail.Stats.LargeAvg)
@@ -284,11 +293,10 @@ func TestAlg2Exactness(t *testing.T) {
 // TestRunDeterminism: identical configuration and seed produce identical
 // statistics.
 func TestRunDeterminism(t *testing.T) {
-	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	sc := SmokeScale()
 	sc.FlowCount = 100
-	a := starRun(TestbedSchemes()[3], workload.WebSearchCDF, 0.5, rtt, sc)
-	b := starRun(TestbedSchemes()[3], workload.WebSearchCDF, 0.5, rtt, sc)
+	a := testbedRun(TestbedSchemes()[3], 0.5, sc)
+	b := testbedRun(TestbedSchemes()[3], 0.5, sc)
 	if a.Stats != b.Stats {
 		t.Errorf("non-deterministic results:\n%+v\n%+v", a.Stats, b.Stats)
 	}
@@ -299,14 +307,7 @@ func TestRunDeterminism(t *testing.T) {
 
 // TestRunAllPoolsSeeds checks the multi-seed pooling plumbing.
 func TestRunAllPoolsSeeds(t *testing.T) {
-	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
-	cfg := RunConfig{
-		Topo:    TopoStar,
-		Hosts:   TestbedHosts,
-		Scheme:  TestbedSchemes()[0],
-		RTT:     &rtt,
-		FlowGen: testbedFlowGen(workload.WebSearchCDF, 0.4, 80),
-	}
+	cfg := testbedCell(0.4, 80).withScheme(TestbedSchemes()[0])
 	r := RunAll(Scale{Seeds: []int64{1, 2}}, []RunConfig{cfg})[0]
 	if r.Injected != 160 {
 		t.Errorf("Injected = %d, want 160", r.Injected)
@@ -320,10 +321,9 @@ func TestRunAllPoolsSeeds(t *testing.T) {
 }
 
 func TestRunFlowsCompleteAndConserve(t *testing.T) {
-	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	sc := SmokeScale()
 	sc.FlowCount = 150
-	r := starRun(TestbedSchemes()[3], workload.WebSearchCDF, 0.7, rtt, sc)
+	r := testbedRun(TestbedSchemes()[3], 0.7, sc)
 	if r.Completed != r.Injected {
 		t.Errorf("completed %d/%d flows", r.Completed, r.Injected)
 	}
@@ -618,11 +618,10 @@ func TestPooledP99DiffersFromAveraged(t *testing.T) {
 // identical merged result at any worker-pool width, because results merge
 // in submission order and every run owns its engine and RNG.
 func TestParallelDeterminism(t *testing.T) {
-	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	sc := SmokeScale()
 	sc.FlowCount = 100
 	sc.Seeds = []int64{1, 2}
-	cfg := starCfg(TestbedSchemes()[3], workload.WebSearchCDF, 0.5, rtt, sc)
+	cfg := testbedCell(0.5, sc.FlowCount).withScheme(TestbedSchemes()[3])
 
 	serial := sc
 	serial.Parallel = 1

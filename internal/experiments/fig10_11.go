@@ -260,15 +260,7 @@ func Fig12(sc Scale) []*Table {
 	load := 0.5
 
 	mkCfg := func(wl string, p core.Params) RunConfig {
-		cdf, err := workload.ByName(wl)
-		if err != nil {
-			panic(err)
-		}
-		scale := sc
-		if wl == workload.DataMining && sc.HeavyFlowCount > 0 {
-			scale.FlowCount = sc.HeavyFlowCount
-		}
-		return starCfg(ECNSharpScheme(p), cdf, load, rtt, scale)
+		return poissonCell("star", wl, load, sc.flowsFor(wl), rtt).withScheme(ECNSharpScheme(p))
 	}
 
 	base := core.Params{

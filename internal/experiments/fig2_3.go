@@ -1,56 +1,43 @@
 package experiments
 
 import (
-	"math/rand"
-
 	"ecnsharp/internal/core"
-	"ecnsharp/internal/dist"
 	"ecnsharp/internal/rttvar"
 	"ecnsharp/internal/sim"
 	"ecnsharp/internal/topology"
 	"ecnsharp/internal/workload"
 )
 
-// TestbedHosts is the 8-server testbed: 7 senders, 1 receiver (§5.2).
-const TestbedHosts = 8
-
 // TestbedRTTMin is the emulated minimum base RTT (70 µs in §2.3/§5.2).
 const TestbedRTTMin = 70 * sim.Microsecond
 
-// testbedFlowGen builds a Poisson star workload at the given load.
-func testbedFlowGen(wl *dist.EmpiricalCDF, load float64, flowCount int) func(*rand.Rand) []workload.FlowSpec {
-	senders := make([]int, TestbedHosts-1)
-	for i := range senders {
-		senders[i] = i
-	}
-	return func(rng *rand.Rand) []workload.FlowSpec {
-		return workload.PoissonFlows(rng, workload.PoissonConfig{
-			SizeDist:    wl,
-			Load:        load,
-			CapacityBps: topology.TenGbps,
-			Pairs:       workload.StarPairs(senders, TestbedHosts-1),
-			FlowCount:   flowCount,
-		})
-	}
+// poissonCell is a figure's Poisson run as a spec Cell, its RTT model taken
+// from rtt (every paper model round-trips exactly through a whole-µs minimum
+// and a variation factor). The scheme name only passes resolution: figures
+// swap in their own Scheme with withScheme.
+func poissonCell(topo, wl string, load float64, flows int, rtt rttvar.RTTDistribution) Cell {
+	return Cell{Topo: topo, Scheme: "ecnsharp", Workload: wl, Load: load, Flows: flows,
+		RTTMinUS: rtt.Min.Micros(), RTTVariation: rtt.Variation()}
 }
 
-// starCfg builds one testbed configuration; the seed is assigned by the
-// harness per run.
-func starCfg(scheme Scheme, wl *dist.EmpiricalCDF, load float64,
-	rtt rttvar.RTTDistribution, sc Scale) RunConfig {
-	return RunConfig{
-		Topo:    TopoStar,
-		Hosts:   TestbedHosts,
-		Scheme:  scheme,
-		RTT:     &rtt,
-		FlowGen: testbedFlowGen(wl, load, sc.FlowCount),
+// withScheme resolves the cell and replaces its scheme with s; RunAll
+// assigns the seed per run.
+func (c Cell) withScheme(s Scheme) RunConfig {
+	cfg, err := c.RunConfig()
+	if err != nil {
+		panic(err)
 	}
+	cfg.Scheme = s
+	return cfg
 }
 
-// starRun executes one testbed configuration pooled over seeds.
-func starRun(scheme Scheme, wl *dist.EmpiricalCDF, load float64,
-	rtt rttvar.RTTDistribution, sc Scale) RunResult {
-	return RunAll(sc, []RunConfig{starCfg(scheme, wl, load, rtt, sc)})[0]
+// flowsFor is the testbed flow count for workload wl: data mining's mean
+// flow is ~8x larger, so it takes HeavyFlowCount when that is set.
+func (sc Scale) flowsFor(wl string) int {
+	if wl == workload.DataMining && sc.HeavyFlowCount > 0 {
+		return sc.HeavyFlowCount
+	}
+	return sc.FlowCount
 }
 
 // Fig2 reproduces Figure 2: with a 3× RTT variation (70–210 µs) and the
@@ -68,9 +55,10 @@ func Fig2(sc Scale) *Table {
 		shortP99 float64
 		overall  float64
 	}
+	cell := poissonCell("star", workload.WebSearch, 0.5, sc.FlowCount, rtt)
 	cfgs := make([]RunConfig, 0, len(thresholds))
 	for _, k := range thresholds {
-		cfgs = append(cfgs, starCfg(REDFixed(k), workload.WebSearchCDF, 0.5, rtt, sc))
+		cfgs = append(cfgs, cell.withScheme(REDFixed(k)))
 	}
 	results := RunAll(sc, cfgs)
 	pts := make([]point, 0, len(thresholds))
@@ -117,9 +105,8 @@ func Fig3(sc Scale) *Table {
 		kAvg := core.ThresholdBytes(core.LambdaECNTCP, topology.TenGbps, rtt.Mean())
 		kTail := core.ThresholdBytes(core.LambdaECNTCP, topology.TenGbps, rtt.Percentile(90))
 		ks = append(ks, pair{kAvg, kTail})
-		cfgs = append(cfgs,
-			starCfg(REDFixed(kAvg), workload.WebSearchCDF, 0.5, rtt, sc),
-			starCfg(REDFixed(kTail), workload.WebSearchCDF, 0.5, rtt, sc))
+		cell := poissonCell("star", workload.WebSearch, 0.5, sc.FlowCount, rtt)
+		cfgs = append(cfgs, cell.withScheme(REDFixed(kAvg)), cell.withScheme(REDFixed(kTail)))
 	}
 	results := RunAll(sc, cfgs)
 	for i, v := range variations {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ecnsharp/internal/core"
 	"ecnsharp/internal/metrics"
@@ -74,20 +73,16 @@ func Fig6(sc Scale) []*Table {
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
 	return fctSweep("fig6", "[Testbed] web search FCT", TestbedSchemes(), sc.Loads, sc,
 		func(s Scheme, load float64) RunConfig {
-			return starCfg(s, workload.WebSearchCDF, load, rtt, sc)
+			return poissonCell("star", workload.WebSearch, load, sc.FlowCount, rtt).withScheme(s)
 		})
 }
 
 // Fig7 reproduces Figure 7: the same sweep with the data-mining workload.
 func Fig7(sc Scale) []*Table {
 	rtt := rttvar.NewVariation(TestbedRTTMin, 3)
-	heavy := sc
-	if heavy.HeavyFlowCount > 0 {
-		heavy.FlowCount = heavy.HeavyFlowCount
-	}
 	return fctSweep("fig7", "[Testbed] data mining FCT", TestbedSchemes(), sc.Loads, sc,
 		func(s Scheme, load float64) RunConfig {
-			return starCfg(s, workload.DataMiningCDF, load, rtt, heavy)
+			return poissonCell("star", workload.DataMining, load, sc.flowsFor(workload.DataMining), rtt).withScheme(s)
 		})
 }
 
@@ -115,9 +110,8 @@ func Fig8(sc Scale) []*Table {
 		rtt := rttvar.NewVariation(TestbedRTTMin, v)
 		tail, _, sharp := DeriveSchemes(rtt, topology.TenGbps)
 		for _, load := range sc.Loads {
-			cfgs = append(cfgs,
-				starCfg(tail, workload.WebSearchCDF, load, rtt, sc),
-				starCfg(sharp, workload.WebSearchCDF, load, rtt, sc))
+			cell := poissonCell("star", workload.WebSearch, load, sc.FlowCount, rtt)
+			cfgs = append(cfgs, cell.withScheme(tail), cell.withScheme(sharp))
 		}
 	}
 	results := RunAll(sc, cfgs)
@@ -195,35 +189,10 @@ func LeafSpineSchemes() []Scheme {
 // spines.
 func Fig9(sc Scale) []*Table {
 	rtt := LeafSpineRTT()
-	schemes := LeafSpineSchemes()
-	hosts := make([]int, 128)
-	for i := range hosts {
-		hosts[i] = i
-	}
-	flowGen := func(load float64) func(*rand.Rand) []workload.FlowSpec {
-		return func(rng *rand.Rand) []workload.FlowSpec {
-			return workload.PoissonFlows(rng, workload.PoissonConfig{
-				SizeDist:    workload.WebSearchCDF,
-				Load:        load,
-				CapacityBps: topology.TenGbps,
-				RefLinks:    len(hosts),
-				Pairs:       workload.RandomPairs(hosts),
-				FlowCount:   sc.LeafSpineFlowCount,
-			})
-		}
-	}
 	tables := fctSweep("fig9", "[Simulation] 128-host leaf-spine, web search FCT",
-		schemes, sc.Loads, sc,
+		LeafSpineSchemes(), sc.Loads, sc,
 		func(s Scheme, load float64) RunConfig {
-			return RunConfig{
-				Topo:         TopoLeafSpine,
-				Spines:       8,
-				Leaves:       8,
-				HostsPerLeaf: 16,
-				Scheme:       s,
-				RTT:          &rtt,
-				FlowGen:      flowGen(load),
-			}
+			return poissonCell("leafspine", workload.WebSearch, load, sc.LeafSpineFlowCount, rtt).withScheme(s)
 		})
 	// The paper's Figure 9 shows (a) overall avg and (b) short avg.
 	return tables[:2]

@@ -30,8 +30,9 @@ const ResultSchemaVersion = "ecnsharp-result-v2"
 // and the load × seed grid to sweep. Every field has a default, so `{}` is
 // a valid spec (one websearch ECN♯ star run at 50% load, seed 1).
 //
-// The spec deliberately mirrors ecnsim's flags; docs/API.md documents the
-// schema and the cache-key derivation rules built on it.
+// ecnsim's flags build a one-load spec of this type, so flag runs share its
+// defaults and validation; docs/API.md documents the schema and the
+// cache-key derivation rules built on it.
 type SweepSpec struct {
 	// Topo is "star" (8-host testbed shape) or "leafspine" (128 hosts).
 	Topo string `json:"topo,omitempty"`
